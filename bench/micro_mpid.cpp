@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "mpid/common/kvframe.hpp"
-#include "mpid/core/merge.hpp"
 #include "mpid/fault/fault.hpp"
 #include "mpid/mapred/job.hpp"
+#include "mpid/shuffle/merger.hpp"
 #include "mpid/workloads/text.hpp"
 
 namespace {
@@ -82,7 +82,7 @@ void BM_SortedMerge(benchmark::State& state) {
     total_bytes += prototypes.back().size();
   }
   for (auto _ : state) {
-    core::SortedFrameMerger merger;
+    shuffle::SegmentMerger merger;
     for (const auto& frame : prototypes) {
       merger.add_frame(frame);  // copy: merger takes ownership
     }
@@ -96,6 +96,11 @@ void BM_SortedMerge(benchmark::State& state) {
                           static_cast<std::int64_t>(total_bytes));
 }
 BENCHMARK(BM_SortedMerge)->Arg(2)->Arg(8)->Arg(32);
+
+/// A counter summed over every job of a run, reported per job.
+benchmark::Counter per_job(double total) {
+  return benchmark::Counter(total, benchmark::Counter::kAvgIterations);
+}
 
 mapred::JobDef wordcount(bool with_combiner) {
   mapred::JobDef job;
@@ -140,6 +145,8 @@ void BM_MpidWordCount(benchmark::State& state) {
   job.tuning.map_threads = threads;
   job.tuning.reduce_threads = threads;
 
+  // Deterministic counters are kept from the last job; the timing
+  // counters sum over jobs and report the per-job mean (kAvgIterations).
   std::uint64_t sent_bytes = 0, sent_pairs = 0, stall_ns = 0;
   std::uint64_t combine_ns = 0, spill_ns = 0, table_peak = 0, recycles = 0;
   for (auto _ : state) {
@@ -157,11 +164,13 @@ void BM_MpidWordCount(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
   state.counters["intermediate_bytes"] = static_cast<double>(sent_bytes);
   state.counters["pairs_transmitted"] = static_cast<double>(sent_pairs);
-  state.counters["mapper_stall_s"] = static_cast<double>(stall_ns) * 1e-9;
-  state.counters["combine_s"] = static_cast<double>(combine_ns) * 1e-9;
-  state.counters["spill_s"] = static_cast<double>(spill_ns) * 1e-9;
+  state.counters["mapper_stall_s"] =
+      per_job(static_cast<double>(stall_ns) * 1e-9);
+  state.counters["combine_s"] =
+      per_job(static_cast<double>(combine_ns) * 1e-9);
+  state.counters["spill_s"] = per_job(static_cast<double>(spill_ns) * 1e-9);
   state.counters["table_bytes_peak"] = static_cast<double>(table_peak);
-  state.counters["arena_recycles"] = static_cast<double>(recycles);
+  state.counters["arena_recycles"] = per_job(static_cast<double>(recycles));
 }
 BENCHMARK(BM_MpidWordCount)
     ->Args({0, 1, 1})
@@ -169,6 +178,7 @@ BENCHMARK(BM_MpidWordCount)
     ->Args({1, 0, 1})
     ->Args({1, 1, 4})
     ->ArgNames({"combiner", "flat", "threads"})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// The same WordCount under a tight mpid::store memory budget (~1/10 of
@@ -205,7 +215,9 @@ void BM_MpidWordCountBudgeted(benchmark::State& state) {
   state.counters["spill_s"] = static_cast<double>(totals.spill_ns) * 1e-9;
   std::filesystem::remove_all(spill_dir);
 }
-BENCHMARK(BM_MpidWordCountBudgeted)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MpidWordCountBudgeted)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// The same WordCount through the hierarchical node-local aggregation
 /// stage (DESIGN.md §14): 8 mappers at ranks_per_node per modeled node,
@@ -244,6 +256,7 @@ BENCHMARK(BM_MpidWordCountNodeAgg)
     ->Arg(1)
     ->Arg(4)
     ->ArgNames({"ranks_per_node"})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// WordCount through the coded shuffle (DESIGN.md §15) at replication r:
@@ -283,6 +296,7 @@ BENCHMARK(BM_MpidWordCountCoded)
     ->Arg(1)
     ->Arg(2)
     ->ArgNames({"replication"})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// The same WordCount over the resilient shuffle while the transport
@@ -312,21 +326,23 @@ void BM_MpidWordCountResilient(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(text.size()));
   state.counters["mapper_stall_s"] =
-      static_cast<double>(totals.flush_wait_ns) * 1e-9;
+      per_job(static_cast<double>(totals.flush_wait_ns) * 1e-9);
   state.counters["frames_retransmitted"] =
-      static_cast<double>(totals.frames_retransmitted);
+      per_job(static_cast<double>(totals.frames_retransmitted));
   state.counters["retransmit_requests"] =
-      static_cast<double>(totals.retransmit_requests);
-  state.counters["task_restarts"] = static_cast<double>(totals.task_restarts);
+      per_job(static_cast<double>(totals.retransmit_requests));
+  state.counters["task_restarts"] =
+      per_job(static_cast<double>(totals.task_restarts));
   state.counters["recovery_wall_s"] =
-      static_cast<double>(totals.recovery_wall_ns) * 1e-9;
-  state.counters["injected_faults"] = static_cast<double>(faults);
+      per_job(static_cast<double>(totals.recovery_wall_ns) * 1e-9);
+  state.counters["injected_faults"] = per_job(static_cast<double>(faults));
 }
 BENCHMARK(BM_MpidWordCountResilient)
     ->Arg(0)
     ->Arg(20)
     ->Arg(50)
     ->ArgNames({"drop_permille"})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

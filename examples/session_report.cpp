@@ -2,8 +2,9 @@
 // reports from an unordered event log, with
 //   * sort_values  — each user's events arrive time-ordered (the
 //     "sort the value list for each key on demand" feature of Section IV);
-//   * sort_keys + SortedFrameMerger — users stream through the reducer in
-//     globally sorted order with bounded memory (Hadoop's merge phase).
+//   * sort_keys + shuffle::SegmentMerger — users stream through the
+//     reducer in globally sorted order with bounded memory (Hadoop's merge
+//     phase).
 //
 // Build & run:  ./examples/session_report
 #include <cstdio>
@@ -12,9 +13,9 @@
 
 #include "mpid/common/prng.hpp"
 #include "mpid/common/table.hpp"
-#include "mpid/core/merge.hpp"
 #include "mpid/core/mpid.hpp"
 #include "mpid/minimpi/world.hpp"
+#include "mpid/shuffle/merger.hpp"
 
 namespace {
 
@@ -57,7 +58,7 @@ int main() {
         break;
       }
       case core::Role::kReducer: {
-        core::SortedFrameMerger merger;
+        shuffle::SegmentMerger merger;
         std::vector<std::byte> frame;
         while (d.recv_raw_frame(frame)) merger.add_frame(std::move(frame));
         d.finalize();

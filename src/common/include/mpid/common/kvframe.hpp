@@ -125,6 +125,10 @@ class KvListReader {
   /// Throws std::runtime_error on a corrupt frame.
   std::optional<KvListView> next();
 
+  /// Reads the next group into `view`, reusing its value vector's
+  /// capacity; false (view untouched) at end of buffer. Same errors.
+  bool next(KvListView& view);
+
   bool at_end() const noexcept { return offset_ == buf_.size(); }
 
  private:

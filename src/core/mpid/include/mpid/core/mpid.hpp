@@ -149,8 +149,9 @@ class MpiD {
 
   /// Raw-frame variant: one realigned partition frame exactly as a mapper
   /// shipped it; false once all mappers signalled end-of-stream. Feed the
-  /// frames to SortedFrameMerger (merge.hpp) for Hadoop-style globally
-  /// key-ordered reduction (requires Config::sort_keys on the mappers).
+  /// frames to shuffle::SegmentMerger (shuffle/merger.hpp) for
+  /// Hadoop-style globally key-ordered reduction (requires
+  /// Config::sort_keys on the mappers).
   /// Must not be mixed with recv()/recv_group() on the same instance.
   bool recv_raw_frame(std::vector<std::byte>& frame);
 

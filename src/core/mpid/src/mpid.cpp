@@ -487,7 +487,7 @@ bool MpiD::recv_raw_frame(std::vector<std::byte>& frame) {
     const bool codec_framed = collected_.front().codec_framed;
     frame = std::move(collected_.front().bytes);
     collected_.pop_front();
-    // Compressed payloads decode here, so SortedFrameMerger always sees
+    // Compressed payloads decode here, so shuffle::SegmentMerger always sees
     // the raw frame bytes — merge order and output are unchanged. (Coded
     // entries staged fully decoded.)
     if (codec_framed) frame = decoder_->decode(std::move(frame));
@@ -740,8 +740,13 @@ void MpiD::rearm_for_next_round() {
     }
     case Role::kReducer: {
       for (auto& lane : recv_lanes_) {
-        // Incarnations survive — they track the mappers' attempts/rounds
-        // and the next round's higher stamp adopts automatically.
+        // Every mapper bumps its incarnation per round, so the next
+        // round's frames carry a higher stamp than this round's. Raise
+        // the floor now: frames and SEALs still stamped with this round's
+        // incarnation (retransmits a repull or NACK left in flight after
+        // the lane completed) are leftovers and must not fill, or
+        // complete, the next round's lane.
+        ++lane.incarnation;
         lane.frames.clear();
         lane.sealed_total.reset();
         lane.complete = false;

@@ -75,7 +75,6 @@ class ReduceContext {
   }
 
  private:
-  friend class JobRunner;
   std::vector<std::pair<std::string, std::string>> outputs_;
   int reducer_index_;
 };
@@ -96,7 +95,7 @@ struct JobDef {
   bool sorted_reduce = true;
 
   /// Streaming merge reduce: mappers ship key-sorted frames and reducers
-  /// k-way merge them (core::SortedFrameMerger) instead of materializing
+  /// k-way merge them (shuffle::SegmentMerger) instead of materializing
   /// a hash table of all groups — reducer memory stays bounded by one
   /// group plus one cursor per frame (Hadoop's merge phase). Implies
   /// sorted key order at reduce(). Combiner semantics are unchanged.
@@ -117,6 +116,19 @@ struct JobResult {
     return std::move(outputs);
   }
 };
+
+namespace detail {
+
+/// The JobResult output order in one place: joins per-reducer output runs
+/// into one vector sorted by (key, value). A run is sorted only if it is
+/// not sorted already (reducers that see keys in order emit sorted runs),
+/// then merged into the output so far with one linear pass — or simply
+/// appended when it starts at or after the output's end, as a range
+/// partitioner's runs do.
+std::vector<std::pair<std::string, std::string>> merge_sorted_runs(
+    std::vector<std::vector<std::pair<std::string, std::string>>> runs);
+
+}  // namespace detail
 
 /// Runs MapReduce jobs on an in-process MPI-D world of
 /// 1 + mappers + reducers ranks.

@@ -105,8 +105,11 @@ void ResidentPartition::seal(KvVec pairs, store::MemoryBudget* budget,
   // The determinism rule: a partition seals sorted by (key, value), so
   // the next round's map input order is a pure function of this round's
   // output multiset — identical across runtimes, thread counts and the
-  // chained/unchained executors.
-  std::sort(pairs.begin(), pairs.end());
+  // chained/unchained executors. Chain reducers run in sorted key order,
+  // so the emitted pairs usually arrive sealed-sorted already.
+  if (!std::is_sorted(pairs.begin(), pairs.end())) {
+    std::sort(pairs.begin(), pairs.end());
+  }
   pair_count_ = pairs.size();
   byte_count_ = 0;
   for (const auto& p : pairs) byte_count_ += kv_bytes(p);
@@ -497,20 +500,13 @@ ChainResult assemble_result(ChainState& state, const ChainJob& job,
     result.rounds.push_back(std::move(rr));
     if (!chain_detail::advance_plan(job, cur, state.round_counters[r])) break;
   }
-  // Final outputs: the last round's resident partitions, concatenated
-  // and globally sorted (the JobResult contract). Pairs move end to end
-  // — reducer emit -> seal -> here.
-  std::size_t total = 0;
-  for (auto& part : state.resident) {
-    total += static_cast<std::size_t>(part.pair_count());
-  }
-  result.outputs.reserve(total);
-  for (auto& part : state.resident) {
-    KvVec pairs = part.take();
-    std::move(pairs.begin(), pairs.end(),
-              std::back_inserter(result.outputs));
-  }
-  std::sort(result.outputs.begin(), result.outputs.end());
+  // Final outputs: the last round's resident partitions — each sealed
+  // sorted — merged into one sorted vector (the JobResult contract).
+  // Pairs move end to end — reducer emit -> seal -> here.
+  std::vector<KvVec> runs;
+  runs.reserve(state.resident.size());
+  for (auto& part : state.resident) runs.push_back(part.take());
+  result.outputs = detail::merge_sorted_runs(std::move(runs));
   return result;
 }
 

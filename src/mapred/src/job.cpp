@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
 
-#include "mpid/core/merge.hpp"
 #include "mpid/core/mpid.hpp"
 #include "mpid/fault/fault.hpp"
 #include "mpid/minimpi/world.hpp"
+#include "mpid/shuffle/merger.hpp"
 
 namespace mpid::mapred {
 
@@ -23,6 +22,31 @@ namespace {
 constexpr int kMaxTaskAttempts = 16;
 
 }  // namespace
+
+namespace detail {
+
+std::vector<std::pair<std::string, std::string>> merge_sorted_runs(
+    std::vector<std::vector<std::pair<std::string, std::string>>> runs) {
+  std::size_t total = 0;
+  for (const auto& run : runs) total += run.size();
+  std::vector<std::pair<std::string, std::string>> out;
+  out.reserve(total);
+  for (auto& run : runs) {
+    if (!std::is_sorted(run.begin(), run.end())) {
+      std::sort(run.begin(), run.end());
+    }
+    const auto middle = static_cast<std::ptrdiff_t>(out.size());
+    std::move(run.begin(), run.end(), std::back_inserter(out));
+    run = {};
+    if (middle > 0 && out.size() > static_cast<std::size_t>(middle) &&
+        out[middle] < out[middle - 1]) {
+      std::inplace_merge(out.begin(), out.begin() + middle, out.end());
+    }
+  }
+  return out;
+}
+
+}  // namespace detail
 
 JobRunner::JobRunner(int mappers, int reducers)
     : mappers_(mappers), reducers_(reducers) {
@@ -47,8 +71,11 @@ JobResult JobRunner::run(const JobDef& job,
   // Streaming merge needs every shipped frame to be one sorted run.
   if (job.streaming_merge_reduce) config.sort_keys = true;
 
-  JobResult result;
-  std::mutex result_mu;
+  JobResult result;  // report: written by the master rank only
+  // One output run per reducer, indexed by reducer_index(): each reducer
+  // writes only its own slot, and the runs merge once the world is done.
+  std::vector<std::vector<std::pair<std::string, std::string>>> runs(
+      static_cast<std::size_t>(reducers_));
 
   // Coded shuffle: every rank that replicates a map task must be able to
   // re-read its split — the task's own mapper maps r sub-splits, and the
@@ -236,7 +263,7 @@ JobResult JobRunner::run(const JobDef& job,
           // spills sorted runs to disk when refused (DESIGN.md §13).
           const bool budgeted = config.memory_budget_bytes > 0;
           const bool threaded = config.reduce_threads > 1 && !inj && !budgeted;
-          core::SortedFrameMerger merger;
+          shuffle::SegmentMerger merger;
           shuffle::ShuffleCounters spill_counters;
           if (budgeted) {
             merger.enable_spill(config, mpid.memory_budget(), &spill_counters);
@@ -263,7 +290,7 @@ JobResult JobRunner::run(const JobDef& job,
               // The dead attempt's merger drops its disk runs via SpillFile
               // RAII; the fresh one must re-arm the disk tier before the
               // re-pulled frames arrive.
-              merger = core::SortedFrameMerger{};
+              merger = shuffle::SegmentMerger{};
               if (budgeted) {
                 merger.enable_spill(config, mpid.memory_budget(),
                                     &spill_counters);
@@ -291,9 +318,8 @@ JobResult JobRunner::run(const JobDef& job,
           while (merger.next_group(key, values)) {
             job.reduce(key, values, ctx);
           }
-          std::lock_guard lock(result_mu);
-          std::move(ctx.outputs_.begin(), ctx.outputs_.end(),
-                    std::back_inserter(result.outputs));
+          runs[static_cast<std::size_t>(ctx.reducer_index())] =
+              ctx.take_emitted();
           break;
         }
 
@@ -332,22 +358,19 @@ JobResult JobRunner::run(const JobDef& job,
         } else {
           for (const auto& [k, vs] : groups) job.reduce(k, vs, ctx);
         }
-
-        std::lock_guard lock(result_mu);
-        std::move(ctx.outputs_.begin(), ctx.outputs_.end(),
-                  std::back_inserter(result.outputs));
+        runs[static_cast<std::size_t>(ctx.reducer_index())] =
+            ctx.take_emitted();
         break;
       }
       case core::Role::kMaster: {
         mpid.finalize();
-        std::lock_guard lock(result_mu);
         result.report = mpid.report();
         break;
       }
     }
   });
 
-  std::sort(result.outputs.begin(), result.outputs.end());
+  result.outputs = detail::merge_sorted_runs(std::move(runs));
   return result;
 }
 

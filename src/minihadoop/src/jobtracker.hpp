@@ -46,6 +46,28 @@ inline std::string task_subject(std::uint8_t kind, int id, int attempt) {
          std::to_string(id) + "#" + std::to_string(attempt);
 }
 
+/// A running attempt is a straggler only once its age exceeds this many
+/// times the mean duration of its phase's committed tasks (Hadoop's
+/// speculator compares a task against its peers, not a fixed clock).
+constexpr double kStragglerFactor = 1.5;
+
+/// Durations of a phase's committed tasks (first dispatch to commit).
+struct PhaseTimes {
+  Clock::duration committed{};
+  int count = 0;
+
+  /// True when an attempt of `age` runs past kStragglerFactor x the
+  /// phase's mean committed duration; true while no peer has committed.
+  bool straggles(Clock::duration age) const {
+    return count == 0 || age > committed * kStragglerFactor / count;
+  }
+
+  void commit(Clock::duration duration) {
+    committed += duration;
+    ++count;
+  }
+};
+
 /// Hadoop's per-task attempt bookkeeping: a task may have several live
 /// attempts (re-executions after failures, speculative duplicates); the
 /// first to report completion is committed, every other attempt's result
@@ -70,6 +92,8 @@ struct JobTracker {
   std::vector<TaskState> reduces;
   int maps_done = 0;
   int reduces_done = 0;
+  PhaseTimes map_times;
+  PhaseTimes reduce_times;
 
   // Policy (copied from MiniJobConfig before any connection is accepted).
   int max_task_attempts = 4;
@@ -115,9 +139,12 @@ struct JobTracker {
   }
 
   /// Speculative execution: a slot is idle while some task's only attempt
-  /// has been running past the threshold — launch a duplicate attempt.
-  /// The straggling attempt keeps running; whichever finishes first wins.
+  /// has been running past the threshold and, once a peer in its phase
+  /// committed, past kStragglerFactor x the phase's mean duration —
+  /// launch a duplicate attempt. The straggling attempt keeps running;
+  /// whichever finishes first wins.
   std::optional<std::pair<int, int>> speculate(std::vector<TaskState>& tasks,
+                                               const PhaseTimes& times,
                                                std::uint8_t kind, int tracker,
                                                Clock::time_point now) {
     if (!speculative) return std::nullopt;
@@ -126,7 +153,8 @@ struct JobTracker {
       if (st.done || st.queued || st.speculated || st.running.size() != 1) {
         continue;
       }
-      if (now - st.started < speculative_threshold) continue;
+      const auto age = now - st.started;
+      if (age < speculative_threshold || !times.straggles(age)) continue;
       st.speculated = true;
       const int attempt = dispatch(st, tracker, now);
       ++speculative_launches;
@@ -222,11 +250,13 @@ struct JobTracker {
     // Nothing pending but the job is incomplete: the idle slot can host a
     // speculative duplicate of a straggler in the current phase.
     if (maps_done < total_maps()) {
-      if (const auto spec = speculate(maps, kKindMap, tracker, now)) {
+      if (const auto spec =
+              speculate(maps, map_times, kKindMap, tracker, now)) {
         return reply(kOpMap, spec->first, spec->second);
       }
     } else {
-      if (const auto spec = speculate(reduces, kKindReduce, tracker, now)) {
+      if (const auto spec =
+              speculate(reduces, reduce_times, kKindReduce, tracker, now)) {
         return reply(kOpReduce, spec->first, spec->second);
       }
     }
@@ -252,6 +282,7 @@ struct JobTracker {
     st.done = true;
     st.location = tracker;
     ++maps_done;
+    map_times.commit(Clock::now() - st.started);
     out.write_u8(1);
     return out.take();
   }
@@ -270,6 +301,7 @@ struct JobTracker {
     }
     st.done = true;
     ++reduces_done;
+    reduce_times.commit(Clock::now() - st.started);
     out.write_u8(1);
     return out.take();
   }

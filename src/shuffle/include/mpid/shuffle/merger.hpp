@@ -6,7 +6,10 @@
 // globally key-ordered groups (Hadoop's reduce contract) can then k-way
 // merge the frames instead of hash-grouping them — memory stays bounded
 // by one group plus one cursor per frame, regardless of how many distinct
-// keys exist.
+// keys exist. The merge is a store::TournamentTree over the cursors' key
+// views: ceil(log2 K) comparisons per group for K frames (a reducer can
+// hold hundreds — one per producer spill), the same network and the same
+// (key, arrival order) tie-break as the disk tier's loser tree below.
 //
 //   SegmentMerger merger;
 //   std::vector<std::byte> frame;
@@ -70,13 +73,14 @@ class SegmentMerger {
   /// Decodes every pending wire frame across `pool`'s workers (per-worker
   /// FrameDecoder, decompress_ns folded into `counters` at commit time;
   /// `counters` nullable) and, when it pays, pre-merges contiguous cursor
-  /// ranges into one sorted run per worker so the sequential next_group()
-  /// scan touches W cursors instead of hundreds. `capacity_hint` pre-sizes
-  /// decode buffers (use the producer's frame size target). Idempotent;
-  /// must precede next_group() when wire frames are pending. With the
-  /// disk tier armed the decode runs sequentially through the budget-
-  /// charged add_frame() path instead (spilling is disk-bound; the
-  /// pre-merge would fight the budget for the cursors it merges).
+  /// ranges into one sorted run per worker so most of the merge work runs
+  /// in parallel and next_group() ranks W cursors instead of hundreds.
+  /// `capacity_hint` pre-sizes decode buffers (use the producer's frame
+  /// size target). Idempotent; must precede next_group() when wire frames
+  /// are pending. With the disk tier armed the decode runs sequentially
+  /// through the budget-charged add_frame() path instead (spilling is
+  /// disk-bound; the pre-merge would fight the budget for the cursors it
+  /// merges).
   void prepare(WorkerPool& pool, std::size_t capacity_hint,
                ShuffleCounters* counters);
 
@@ -115,11 +119,31 @@ class SegmentMerger {
   struct Cursor {
     std::vector<std::byte> frame;
     common::KvListReader reader;
-    std::optional<common::KvListView> current;
+    common::KvListView head;  // the current group; meaningful while live
+    bool live = false;
     std::size_t order;  // arrival order, the tie-breaker
 
     explicit Cursor(std::vector<std::byte> f, std::size_t ord)
         : frame(std::move(f)), reader(frame), order(ord) {}
+  };
+
+  /// One in-memory k-way merge: the tournament over a contiguous cursor
+  /// range. Cursors sit in arrival order, so index order IS the
+  /// tie-break order.
+  struct Merge {
+    std::vector<Cursor*> heads;
+    store::TournamentTree tree;
+
+    /// True when heads[a]'s group ranks before heads[b]'s: (key, index),
+    /// with exhausted cursors losing to every live one.
+    bool beats(std::size_t a, std::size_t b) const {
+      const Cursor& ca = *heads[a];
+      const Cursor& cb = *heads[b];
+      if (!ca.live) return false;
+      if (!cb.live) return true;
+      const int c = ca.head.key.compare(cb.head.key);
+      return c != 0 ? c < 0 : a < b;
+    }
   };
 
   struct PendingWire {
@@ -162,10 +186,18 @@ class SegmentMerger {
 
   static void advance(Cursor& cursor);
 
+  /// Arms `merge` over cursors_[lo, hi).
+  void start_merge(Merge& merge, std::size_t lo, std::size_t hi);
+
+  /// The one merge loop: pops `merge`'s next group in ascending key
+  /// order, equal keys' values concatenated in arrival order. Behind
+  /// next_group() (in-memory path), merge_range() and spill_cursors().
+  static bool pop_group(Merge& merge, std::string& key,
+                        std::vector<std::string>& values);
+
   /// Streams the fully-merged groups of cursors_[lo, hi) to `fn(key,
-  /// values)` in ascending key order, arrival-order concatenation — the
-  /// one merge loop behind merge_range() (in-memory output) and
-  /// spill_cursors() (disk output).
+  /// values)` — merge_range() (in-memory output) and spill_cursors()
+  /// (disk output).
   template <typename Fn>
   void for_each_merged_group(std::size_t lo, std::size_t hi, Fn&& fn);
 
@@ -183,6 +215,7 @@ class SegmentMerger {
   std::vector<PendingWire> pending_;
   std::size_t next_order_ = 0;  // survives cursor clears (spills, pre-merge)
   bool started_ = false;
+  std::optional<Merge> merge_;  // next_group()'s merge, armed on first call
   std::unique_ptr<SpillState> spill_;
   std::vector<std::unique_ptr<store::GroupSource>> final_sources_;
   std::unique_ptr<store::MergingGroupStream> final_stream_;

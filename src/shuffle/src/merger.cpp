@@ -114,9 +114,9 @@ void SegmentMerger::prepare(WorkerPool& pool, std::size_t capacity_hint,
   }
 
   // Pre-merge phase: collapse contiguous arrival-order cursor ranges into
-  // one sorted run per worker. Worth it only when the sequential
-  // next_group() scan would otherwise touch many more cursors than the
-  // pool has workers.
+  // one sorted run per worker, so the bulk of the merge runs in parallel
+  // and the sequential next_group() tournament ranks W cursors. Worth it
+  // only when there are more cursors than workers.
   const std::size_t workers = pool.workers();
   if (workers <= 1 || cursors_.size() <= workers) return;
   std::vector<std::vector<std::byte>> merged(workers);
@@ -130,34 +130,55 @@ void SegmentMerger::prepare(WorkerPool& pool, std::size_t capacity_hint,
   for (auto& frame : merged) add_frame(std::move(frame));
 }
 
+void SegmentMerger::start_merge(Merge& merge, std::size_t lo,
+                                std::size_t hi) {
+  merge.heads.clear();
+  merge.heads.reserve(hi - lo);
+  for (std::size_t i = lo; i < hi; ++i) merge.heads.push_back(&cursors_[i]);
+  merge.tree.reset(merge.heads.size(), [&merge](std::size_t a, std::size_t b) {
+    return merge.beats(a, b);
+  });
+}
+
+bool SegmentMerger::pop_group(Merge& merge, std::string& key,
+                              std::vector<std::string>& values) {
+  if (merge.heads.empty()) return false;
+  std::size_t w = merge.tree.winner();
+  if (!merge.heads[w]->live) return false;
+  const auto beats = [&merge](std::size_t a, std::size_t b) {
+    return merge.beats(a, b);
+  };
+  key.assign(merge.heads[w]->head.key);
+  // Winners come in (key, arrival) order, so draining the key until the
+  // winner changes concatenates every cursor's values in arrival order.
+  // Value strings are overwritten in place to keep their capacity.
+  std::size_t n = 0;
+  do {
+    Cursor& cursor = *merge.heads[w];
+    for (const auto v : cursor.head.values) {
+      if (n < values.size()) {
+        values[n].assign(v);
+      } else {
+        values.emplace_back(v);
+      }
+      ++n;
+    }
+    advance(cursor);
+    merge.tree.replay(w, beats);
+    w = merge.tree.winner();
+  } while (merge.heads[w]->live && merge.heads[w]->head.key == key);
+  values.resize(n);
+  return true;
+}
+
 template <typename Fn>
 void SegmentMerger::for_each_merged_group(std::size_t lo, std::size_t hi,
                                           Fn&& fn) {
+  Merge merge;
+  start_merge(merge, lo, hi);
   std::string key;
   std::vector<std::string> values;
-  for (;;) {
-    // Smallest current key in the range; ascending index scan with a
-    // strict < makes the earliest arrival win ties automatically.
-    const Cursor* best = nullptr;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto& cursor = cursors_[i];
-      if (!cursor.current) continue;
-      if (best == nullptr || cursor.current->key < best->current->key) {
-        best = &cursor;
-      }
-    }
-    if (best == nullptr) break;
-    key.assign(best->current->key);
-    values.clear();
-    for (std::size_t i = lo; i < hi; ++i) {
-      auto& cursor = cursors_[i];
-      while (cursor.current && cursor.current->key == key) {
-        for (const auto v : cursor.current->values) values.emplace_back(v);
-        advance(cursor);
-      }
-    }
-    fn(key, values);
-  }
+  while (pop_group(merge, key, values)) fn(key, values);
 }
 
 std::vector<std::byte> SegmentMerger::merge_range(std::size_t lo,
@@ -243,11 +264,11 @@ void SegmentMerger::finish_spill_phase() {
 }
 
 bool SegmentMerger::CursorSource::next(store::Group& group) {
-  if (!cursor_->current) return false;
-  group.key.assign(cursor_->current->key);
+  if (!cursor_->live) return false;
+  group.key.assign(cursor_->head.key);
   group.values.clear();
-  group.values.reserve(cursor_->current->values.size());
-  for (const auto v : cursor_->current->values) group.values.emplace_back(v);
+  group.values.reserve(cursor_->head.values.size());
+  for (const auto v : cursor_->head.values) group.values.emplace_back(v);
   SegmentMerger::advance(*cursor_);
   return true;
 }
@@ -274,12 +295,12 @@ void SegmentMerger::build_final_stream() {
 }
 
 void SegmentMerger::advance(Cursor& cursor) {
-  const std::optional<std::string> previous =
-      cursor.current
-          ? std::optional<std::string>(std::string(cursor.current->key))
-          : std::nullopt;
-  cursor.current = cursor.reader.next();
-  if (cursor.current && previous && cursor.current->key < *previous) {
+  // The cursor owns its frame, so the previous key's view stays valid
+  // across the read.
+  const bool had = cursor.live;
+  const std::string_view previous = cursor.head.key;
+  cursor.live = cursor.reader.next(cursor.head);
+  if (had && cursor.live && cursor.head.key < previous) {
     throw std::logic_error(
         "SegmentMerger: frame is not key-sorted (enable sort_keys on the "
         "producers)");
@@ -305,29 +326,8 @@ bool SegmentMerger::next_group(std::string& key,
     return more;
   }
   started_ = true;
-  // Smallest current key across cursors (linear scan: frame counts are
-  // small — one per producer spill).
-  const Cursor* best = nullptr;
-  for (const auto& cursor : cursors_) {
-    if (!cursor.current) continue;
-    if (best == nullptr || cursor.current->key < best->current->key ||
-        (cursor.current->key == best->current->key &&
-         cursor.order < best->order)) {
-      best = &cursor;
-    }
-  }
-  if (best == nullptr) return false;
-
-  key.assign(best->current->key);
-  values.clear();
-  // Drain the chosen key from every cursor, in arrival order.
-  for (auto& cursor : cursors_) {
-    while (cursor.current && cursor.current->key == key) {
-      for (const auto v : cursor.current->values) values.emplace_back(v);
-      advance(cursor);
-    }
-  }
-  return true;
+  if (!merge_) start_merge(merge_.emplace(), 0, cursors_.size());
+  return pop_group(*merge_, key, values);
 }
 
 }  // namespace mpid::shuffle

@@ -3,10 +3,13 @@
 //
 // This is the classic external-sort merge network (Knuth TAOCP vol. 3):
 // K sorted inputs, one comparison path of depth ceil(log2 K) per popped
-// group instead of a K-wide linear scan. The inputs are GroupSources —
+// group instead of a K-wide linear scan. TournamentTree is the network
+// alone, over inputs named by index; LoserTree runs it over GroupSources —
 // disk runs (RunReader) or any in-memory cursor an adapter wraps — so the
 // same tree serves both the run-compaction passes (disk → disk, bounding
 // the final fan-in) and the final streamed merge the reducer consumes.
+// shuffle::SegmentMerger runs the same network directly over its frame
+// cursors' key views, so in-memory and disk merges share one tie-break.
 //
 // Ordering contract: pops come in ascending (key, source index) order.
 // The source-index tie-break is load-bearing — the shuffle layer assigns
@@ -50,6 +53,57 @@ class RunSource final : public GroupSource {
   RunReader reader_;
 };
 
+/// The tournament itself: a loser tree over K inputs named by index,
+/// independent of what the inputs hold. The caller keeps each input's
+/// head and supplies `beats(a, b)` — true when input a's head ranks
+/// before input b's — which must make an exhausted input lose to every
+/// live one and break key ties by index, so winners come in ascending
+/// (key, index) order. Shared by LoserTree (groups copied out of disk
+/// runs) and shuffle::SegmentMerger (views over in-memory frames).
+class TournamentTree {
+ public:
+  /// Plays the full tournament over inputs [0, k).
+  template <typename Beats>
+  void reset(std::size_t k, const Beats& beats) {
+    k_ = k;
+    tree_.assign(k, 0);
+    if (k == 0) return;
+    // Bottom-up build: leaves live at positions [k, 2k), node i's
+    // children are 2i and 2i+1, each internal node keeps the loser of its
+    // match and tree_[0] keeps the overall winner. The complete-tree
+    // indexing is valid for any k, powers of two or not.
+    std::vector<std::size_t> winner(2 * k);
+    for (std::size_t s = 0; s < k; ++s) winner[k + s] = s;
+    for (std::size_t node = k - 1; node >= 1; --node) {
+      const std::size_t a = winner[2 * node];
+      const std::size_t b = winner[2 * node + 1];
+      const bool a_wins = beats(a, b);
+      winner[node] = a_wins ? a : b;
+      tree_[node] = a_wins ? b : a;
+    }
+    tree_[0] = winner[1];  // k == 1: position 1 IS the single leaf
+  }
+
+  /// Replays input `s`'s path to the root after its head changed (the
+  /// head must have been the winner's). ceil(log2 K) comparisons.
+  template <typename Beats>
+  void replay(std::size_t s, const Beats& beats) {
+    std::size_t cur = s;
+    for (std::size_t node = (k_ + s) / 2; node >= 1; node /= 2) {
+      if (beats(tree_[node], cur)) std::swap(cur, tree_[node]);
+    }
+    tree_[0] = cur;
+  }
+
+  /// The winning input; only meaningful when size() > 0.
+  std::size_t winner() const noexcept { return tree_[0]; }
+  std::size_t size() const noexcept { return k_; }
+
+ private:
+  std::vector<std::size_t> tree_;  // [0] winner; [1, k) match losers
+  std::size_t k_ = 0;
+};
+
 /// Tournament loser tree over K GroupSources. pop() yields groups in
 /// ascending (key, source index) order; equal-key concatenation is the
 /// caller's job (see MergingGroupStream).
@@ -67,14 +121,10 @@ class LoserTree {
   /// True when source a's pending group ranks before source b's.
   bool beats(std::size_t a, std::size_t b) const;
 
-  /// Replays leaf `s`'s path to the root after its slot was refilled.
-  void replay(std::size_t s);
-
   std::vector<GroupSource*> sources_;
   std::vector<Group> slots_;     // pending group per source
   std::vector<char> exhausted_;  // per source
-  std::vector<std::size_t> tree_;  // [0] winner; [1, k) match losers
-  std::size_t k_ = 0;
+  TournamentTree tree_;
 };
 
 /// The stream shape merge consumers iterate: groups in ascending key

@@ -3,32 +3,14 @@
 namespace mpid::store {
 
 LoserTree::LoserTree(std::vector<GroupSource*> sources)
-    : sources_(std::move(sources)), k_(sources_.size()) {
-  slots_.resize(k_);
-  exhausted_.resize(k_, 0);
-  for (std::size_t s = 0; s < k_; ++s) {
+    : sources_(std::move(sources)) {
+  const std::size_t k = sources_.size();
+  slots_.resize(k);
+  exhausted_.resize(k, 0);
+  for (std::size_t s = 0; s < k; ++s) {
     exhausted_[s] = sources_[s]->next(slots_[s]) ? 0 : 1;
   }
-  if (k_ == 0) return;
-  // Build the tournament bottom-up: leaves live at positions [k, 2k),
-  // node i's children are 2i and 2i+1, each internal node keeps the loser
-  // of its match and tree_[0] keeps the overall winner. The complete-tree
-  // indexing is valid for any k, powers of two or not.
-  tree_.assign(k_, 0);
-  std::vector<std::size_t> winner(2 * k_);
-  for (std::size_t s = 0; s < k_; ++s) winner[k_ + s] = s;
-  for (std::size_t node = k_ - 1; node >= 1; --node) {
-    const std::size_t a = winner[2 * node];
-    const std::size_t b = winner[2 * node + 1];
-    if (beats(a, b)) {
-      winner[node] = a;
-      tree_[node] = b;
-    } else {
-      winner[node] = b;
-      tree_[node] = a;
-    }
-  }
-  tree_[0] = winner[1];  // k == 1: position 1 IS the single leaf
+  tree_.reset(k, [this](std::size_t a, std::size_t b) { return beats(a, b); });
 }
 
 bool LoserTree::beats(std::size_t a, std::size_t b) const {
@@ -40,22 +22,14 @@ bool LoserTree::beats(std::size_t a, std::size_t b) const {
   return a < b;  // arrival-order tie-break
 }
 
-void LoserTree::replay(std::size_t s) {
-  std::size_t cur = s;
-  for (std::size_t node = (k_ + s) / 2; node >= 1; node /= 2) {
-    if (beats(tree_[node], cur)) std::swap(cur, tree_[node]);
-  }
-  tree_[0] = cur;
-}
-
 bool LoserTree::pop(Group& group, std::size_t& source) {
-  if (k_ == 0) return false;
-  const std::size_t w = tree_[0];
+  if (tree_.size() == 0) return false;
+  const std::size_t w = tree_.winner();
   if (exhausted_[w]) return false;
   group = std::move(slots_[w]);
   source = w;
   exhausted_[w] = sources_[w]->next(slots_[w]) ? 0 : 1;
-  replay(w);
+  tree_.replay(w, [this](std::size_t a, std::size_t b) { return beats(a, b); });
   return true;
 }
 

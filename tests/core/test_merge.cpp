@@ -1,4 +1,4 @@
-// SortedFrameMerger tests: k-way merging of sorted partition frames, and
+// shuffle::SegmentMerger tests: k-way merging of sorted partition frames, and
 // the full sorted-shuffle pipeline through MPI-D (the Hadoop reduce
 // contract: keys arrive globally ordered, each exactly once).
 #include <gtest/gtest.h>
@@ -7,9 +7,9 @@
 
 #include "mpid/common/kvframe.hpp"
 #include "mpid/common/prng.hpp"
-#include "mpid/core/merge.hpp"
 #include "mpid/core/mpid.hpp"
 #include "mpid/minimpi/world.hpp"
+#include "mpid/shuffle/merger.hpp"
 
 namespace mpid::core {
 namespace {
@@ -26,14 +26,14 @@ std::vector<std::byte> make_frame(
 }
 
 TEST(SortedFrameMerger, EmptyMergerYieldsNothing) {
-  SortedFrameMerger merger;
+  shuffle::SegmentMerger merger;
   std::string key;
   std::vector<std::string> values;
   EXPECT_FALSE(merger.next_group(key, values));
 }
 
 TEST(SortedFrameMerger, SingleFrame) {
-  SortedFrameMerger merger;
+  shuffle::SegmentMerger merger;
   merger.add_frame(make_frame({{"a", {"1"}}, {"b", {"2", "3"}}}));
   std::string key;
   std::vector<std::string> values;
@@ -47,7 +47,7 @@ TEST(SortedFrameMerger, SingleFrame) {
 }
 
 TEST(SortedFrameMerger, MergesAcrossFramesInKeyOrder) {
-  SortedFrameMerger merger;
+  shuffle::SegmentMerger merger;
   merger.add_frame(make_frame({{"apple", {"a1"}}, {"cherry", {"c1"}}}));
   merger.add_frame(make_frame({{"banana", {"b1"}}, {"cherry", {"c2"}}}));
   merger.add_frame(make_frame({{"apple", {"a2"}}}));
@@ -66,7 +66,7 @@ TEST(SortedFrameMerger, MergesAcrossFramesInKeyOrder) {
 }
 
 TEST(SortedFrameMerger, EmptyFramesIgnored) {
-  SortedFrameMerger merger;
+  shuffle::SegmentMerger merger;
   merger.add_frame({});
   merger.add_frame(make_frame({{"k", {"v"}}}));
   merger.add_frame({});
@@ -78,7 +78,7 @@ TEST(SortedFrameMerger, EmptyFramesIgnored) {
 }
 
 TEST(SortedFrameMerger, UnsortedFrameRejected) {
-  SortedFrameMerger merger;
+  shuffle::SegmentMerger merger;
   merger.add_frame(make_frame({{"z", {"1"}}, {"a", {"2"}}}));
   std::string key;
   std::vector<std::string> values;
@@ -86,7 +86,7 @@ TEST(SortedFrameMerger, UnsortedFrameRejected) {
 }
 
 TEST(SortedFrameMerger, AddAfterStartRejected) {
-  SortedFrameMerger merger;
+  shuffle::SegmentMerger merger;
   merger.add_frame(make_frame({{"a", {"1"}}}));
   std::string key;
   std::vector<std::string> values;
@@ -99,7 +99,7 @@ TEST(SortedFrameMerger, RandomizedAgainstReference) {
   common::Xoshiro256StarStar rng(606);
   for (int iter = 0; iter < 20; ++iter) {
     std::map<std::string, std::vector<std::string>> reference;
-    SortedFrameMerger merger;
+    shuffle::SegmentMerger merger;
     const auto frames = rng.next_in(1, 8);
     for (std::uint64_t f = 0; f < frames; ++f) {
       // Sorted groups per frame: walk a sorted key space.
@@ -162,7 +162,7 @@ TEST(SortedShuffle, FullPipelineDeliversGloballyOrderedGroups) {
       }
       d.finalize();
     } else if (d.role() == Role::kReducer) {
-      SortedFrameMerger merger;
+      shuffle::SegmentMerger merger;
       std::vector<std::byte> frame;
       while (d.recv_raw_frame(frame)) merger.add_frame(std::move(frame));
       d.finalize();

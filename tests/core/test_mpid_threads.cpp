@@ -1,6 +1,6 @@
 // Hybrid process+threads execution through the real MPI-D library:
 // run_map_parallel on the mapper ranks and the threaded reducer merge
-// (recv_wire_frame + SortedFrameMerger::prepare over the rank's worker
+// (recv_wire_frame + shuffle::SegmentMerger::prepare over the rank's worker
 // pool). The contract under test is the paper-grade one — map_threads /
 // reduce_threads are speed knobs, never semantics knobs: results and
 // shuffle accounting match the sequential path exactly, for every thread
@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
-#include "mpid/core/merge.hpp"
 #include "mpid/core/mpid.hpp"
 #include "mpid/minimpi/world.hpp"
+#include "mpid/shuffle/merger.hpp"
 
 namespace mpid::core {
 namespace {
@@ -80,7 +80,7 @@ JobOutput run_hybrid_wordcount(Config cfg) {
         break;
       }
       case Role::kReducer: {
-        SortedFrameMerger merger;
+        shuffle::SegmentMerger merger;
         std::vector<std::byte> frame;
         if (cfg.reduce_threads > 1) {
           bool codec_framed = false;

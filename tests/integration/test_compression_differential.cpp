@@ -2,7 +2,7 @@
 // auto or on, every execution path must produce byte-identical job
 // output. This file is the differential proof for both runtimes —
 //   * MPI-D via the mapred JobRunner: hash grouping, sorted reduce,
-//     streaming merge reduce (SortedFrameMerger over decoded frames),
+//     streaming merge reduce (shuffle::SegmentMerger over decoded frames),
 //     pipelined prefetch, and resilient_shuffle with injected crashes
 //     re-pulling compressed lanes;
 //   * MiniHadoop: DFS part files compared byte for byte across off/auto/

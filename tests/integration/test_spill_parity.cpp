@@ -15,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mpid/dfs/minidfs.hpp"
@@ -73,20 +74,30 @@ void arm_tight_budget(shuffle::ShuffleOptions& opts, const std::string& dir) {
   opts.spill_merge_fanin = 2;
 }
 
+/// gtest names each case by dumping this struct's bytes, so `reserved`
+/// fills what would be padding after the enum: with no byte left
+/// uninitialized, the test IDs are the same in every build and run.
 struct Variant {
   shuffle::ShuffleCompression compression;
+  std::uint32_t reserved = 0;
   std::size_t map_threads;
 };
+static_assert(std::has_unique_object_representations_v<Variant>);
 
 class SpillParityTest : public ::testing::TestWithParam<Variant> {};
 INSTANTIATE_TEST_SUITE_P(
     Matrix, SpillParityTest,
     ::testing::Values(
-        Variant{shuffle::ShuffleCompression::kOff, 1},
-        Variant{shuffle::ShuffleCompression::kOff, 4},
-        Variant{shuffle::ShuffleCompression::kAuto, 1},
-        Variant{shuffle::ShuffleCompression::kOn, 1},
-        Variant{shuffle::ShuffleCompression::kOn, 4}));
+        Variant{.compression = shuffle::ShuffleCompression::kOff,
+                .map_threads = 1},
+        Variant{.compression = shuffle::ShuffleCompression::kOff,
+                .map_threads = 4},
+        Variant{.compression = shuffle::ShuffleCompression::kAuto,
+                .map_threads = 1},
+        Variant{.compression = shuffle::ShuffleCompression::kOn,
+                .map_threads = 1},
+        Variant{.compression = shuffle::ShuffleCompression::kOn,
+                .map_threads = 4}));
 
 TEST_P(SpillParityTest, MpidBudgetedOutputIsByteIdentical) {
   const auto v = GetParam();

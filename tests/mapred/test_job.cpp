@@ -2,6 +2,7 @@
 // splitting, and agreement between the MPI-D path and a serial reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
@@ -146,6 +147,55 @@ TEST(JobRunner, UnsortedReduceStillCorrect) {
                                             result.outputs.end());
   EXPECT_EQ(counts.at("b"), "2");
   EXPECT_EQ(counts.size(), 3u);
+}
+
+TEST(JobRunner, OutputsSortedWhenReduceEmitsValuesDescending) {
+  // Each reduce emits its key's values in descending order, so no
+  // reducer's output run is sorted by (key, value) as emitted; the job's
+  // outputs must still be the sorted multiset, in every reduce mode.
+  std::vector<std::string> records;
+  std::vector<std::pair<std::string, std::string>> expected;
+  for (int i = 0; i < 40; ++i) {
+    const std::string key = "k" + std::to_string(i % 13);
+    records.push_back(key + "/" + std::to_string(i));
+    for (int v = 0; v < 3; ++v) {
+      expected.emplace_back(key, std::to_string(i) + "." + std::to_string(v));
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+
+  JobDef job;
+  job.map = [](std::string_view record, MapContext& ctx) {
+    const auto slash = record.find('/');
+    ctx.emit(record.substr(0, slash), record.substr(slash + 1));
+  };
+  job.reduce = [](std::string_view key, std::span<const std::string> values,
+                  ReduceContext& ctx) {
+    std::vector<std::string> out;
+    for (const auto& v : values) {
+      for (int i = 0; i < 3; ++i) out.push_back(v + "." + std::to_string(i));
+    }
+    std::sort(out.rbegin(), out.rend());
+    for (const auto& v : out) ctx.emit(key, v);
+  };
+  for (const bool sorted : {true, false}) {
+    for (const bool streaming : {false, true}) {
+      if (streaming && !sorted) continue;  // streaming implies sorted keys
+      job.sorted_reduce = sorted;
+      job.streaming_merge_reduce = streaming;
+      std::vector<RecordSource> inputs;
+      for (std::size_t m = 0; m < 3; ++m) {
+        std::vector<std::string> split;
+        for (std::size_t i = m; i < records.size(); i += 3) {
+          split.push_back(records[i]);
+        }
+        inputs.push_back(vector_source(std::move(split)));
+      }
+      const auto result = JobRunner(3, 2).run(job, std::move(inputs));
+      EXPECT_EQ(result.outputs, expected)
+          << "sorted_reduce=" << sorted << " streaming=" << streaming;
+    }
+  }
 }
 
 TEST(LineReaderT, HandlesEdgeCases) {

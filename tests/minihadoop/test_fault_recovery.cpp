@@ -110,6 +110,14 @@ TEST(MiniHadoopFaults, SpeculativeTwinOutrunsStraggler) {
   EXPECT_EQ(clean.shuffle_requests, faulted.shuffle_requests);
 }
 
+TEST(MiniHadoopFaults, FaultFreeMultiTaskJobLaunchesNoSpeculativeTwin) {
+  dfs::MiniDfs fs(2);
+  fs.create("/in", workloads::generate_text({}, 256 * 1024, 904));
+  MiniCluster cluster(fs, 2);
+  const auto summary = cluster.run(wordcount_config("/in", "/steady"));
+  EXPECT_EQ(summary.speculative_launches, 0u);
+}
+
 TEST(MiniHadoopFaults, ShuffleFetchErrorsRetryAndRecover) {
   dfs::MiniDfs fs(2);
   fs.create("/in", workloads::generate_text({}, 48 * 1024, 902));
