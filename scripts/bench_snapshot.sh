@@ -87,6 +87,8 @@ import json, sys
 
 baseline_path, fresh_path, tolerance = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
+units = {}  # name -> the row's own time_unit (ns, us, ms or s)
+
 def times(path):
     """name -> min real_time over the run's repetitions."""
     with open(path) as f:
@@ -98,6 +100,7 @@ def times(path):
         t = b["real_time"]
         name = b["name"]
         out[name] = min(out.get(name, t), t)
+        units[name] = b.get("time_unit", "ns")
     return out
 
 base, fresh = times(baseline_path), times(fresh_path)
@@ -109,7 +112,8 @@ for name, t in sorted(fresh.items()):
         continue
     ratio = t / ref
     marker = "REGRESSION" if ratio > tolerance else "ok"
-    print(f"  {marker:>10}  {name}: {ref:.0f} -> {t:.0f} ns ({ratio:.2f}x)")
+    print(f"  {marker:>10}  {name}: {ref:.1f} -> {t:.1f} {units[name]} "
+          f"({ratio:.2f}x)")
     if ratio > tolerance:
         regressions.append(name)
 missing = sorted(set(base) - set(fresh))

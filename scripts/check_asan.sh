@@ -17,6 +17,10 @@
 # pages, run-file RAII, the loser-tree merge), and the spill-parity
 # integration suite runs both runtimes under a tight budget so the
 # spill/compact/external-merge cycle executes instrumented end to end.
+# test_mapred runs JobRunner's and JobChain's reducers, which group their
+# shuffle in the same arena-backed table (plus the pinned StaticTables
+# and resident-partition spills), and test_fault drives the resilient
+# shuffle's crash/re-pull recovery through those reducers.
 #
 # Usage: scripts/check_asan.sh [extra gtest args...]
 set -euo pipefail
@@ -27,12 +31,13 @@ BUILD_DIR=build-asan
 cmake -B "$BUILD_DIR" -S . -DMPID_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" --target test_common test_shuffle test_store \
-  test_mpid test_minihadoop test_integration -j
+  test_mpid test_mapred test_fault test_minihadoop test_integration -j
 
 # detect_leaks also catches frames/blocks that escape the pools.
 export ASAN_OPTIONS="detect_leaks=1 strict_string_checks=1 ${ASAN_OPTIONS:-}"
 
-for suite in test_common test_shuffle test_store test_mpid test_minihadoop; do
+for suite in test_common test_shuffle test_store test_mpid test_mapred \
+  test_fault test_minihadoop; do
   echo "=== ASan: $suite ==="
   "$BUILD_DIR/tests/$suite" "$@"
 done

@@ -45,9 +45,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "mpid/common/hash.hpp"
 #include "mpid/core/config.hpp"
 #include "mpid/mapred/input.hpp"
 #include "mpid/mapred/job.hpp"
@@ -90,7 +92,9 @@ class RoundCounters {
 
 /// The pinned static channel: every (key, value) of `static_input`
 /// realigned once into partition tables by the job's partitioner. Stage
-/// functions read it by key; it never crosses the shuffle again.
+/// functions read it by key; it never crosses the shuffle again. Each
+/// partition is a hash table probed by std::string_view (no temporary
+/// key string per lookup); a key's values keep their static_input order.
 class StaticTables {
  public:
   StaticTables() = default;
@@ -98,8 +102,8 @@ class StaticTables {
                const core::Partitioner& partitioner);
 
   /// The pinned values of `key` on `partition`; null when the key has no
-  /// static entries. The partition must be the key's own (the chain only
-  /// hands contexts their local table).
+  /// static entries or the partition is out of range. The partition must
+  /// be the key's own (the chain only hands contexts their local table).
   const std::vector<std::string>* find(int partition,
                                        std::string_view key) const;
 
@@ -112,8 +116,12 @@ class StaticTables {
   }
 
  private:
-  std::vector<std::map<std::string, std::vector<std::string>, std::less<>>>
+  /// Per partition: key -> index into lists_.
+  std::vector<std::unordered_map<std::string, std::uint32_t,
+                                 common::TransparentStringHash,
+                                 common::TransparentStringEq>>
       tables_;
+  std::vector<std::vector<std::string>> lists_;  // one value list per key
   std::vector<std::uint64_t> bytes_;
   std::uint64_t total_bytes_ = 0;
 };

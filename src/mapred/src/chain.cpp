@@ -6,8 +6,8 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
+#include "groups.hpp"
 #include "mpid/core/mpid.hpp"
 #include "mpid/fault/fault.hpp"
 #include "mpid/minimpi/world.hpp"
@@ -16,10 +16,9 @@
 
 namespace mpid::mapred {
 
-namespace {
+using detail::kMaxTaskAttempts;
 
-/// Safety cap on task re-executions (same contract as JobRunner).
-constexpr int kMaxTaskAttempts = 16;
+namespace {
 
 std::uint64_t kv_bytes(const KvPair& p) noexcept {
   return static_cast<std::uint64_t>(p.first.size() + p.second.size());
@@ -38,11 +37,30 @@ StaticTables::StaticTables(const KvVec& static_input, int partitions,
   bytes_.assign(static_cast<std::size_t>(partitions), 0);
   const shuffle::Partitioner part(static_cast<std::uint32_t>(partitions),
                                   partitioner);
-  for (const auto& [key, value] : static_input) {
+  // Counting pass: intern every key in its partition's table and count
+  // its values, remembering each pair's list so the fill pass appends
+  // without probing again and reserves every list exactly once.
+  std::vector<std::uint32_t> list_of(static_input.size());
+  std::vector<std::uint32_t> counts;
+  for (std::size_t i = 0; i < static_input.size(); ++i) {
+    const auto& [key, value] = static_input[i];
     const auto p = part(key);
-    tables_[p][key].push_back(value);
+    auto& table = tables_[p];
+    auto it = table.find(key);
+    if (it == table.end()) {
+      it = table.emplace(key, static_cast<std::uint32_t>(counts.size()))
+               .first;
+      counts.push_back(0);
+    }
+    list_of[i] = it->second;
+    ++counts[it->second];
     bytes_[p] += key.size() + value.size();
     total_bytes_ += key.size() + value.size();
+  }
+  lists_.resize(counts.size());
+  for (std::size_t k = 0; k < counts.size(); ++k) lists_[k].reserve(counts[k]);
+  for (std::size_t i = 0; i < static_input.size(); ++i) {
+    lists_[list_of[i]].push_back(static_input[i].second);
   }
 }
 
@@ -54,7 +72,7 @@ const std::vector<std::string>* StaticTables::find(
   }
   const auto& table = tables_[static_cast<std::size_t>(partition)];
   const auto it = table.find(key);
-  return it == table.end() ? nullptr : &it->second;
+  return it == table.end() ? nullptr : &lists_[it->second];
 }
 
 std::uint64_t StaticTables::partition_bytes(int partition) const {
@@ -441,36 +459,17 @@ ChainReduceContext run_reduce_side(core::MpiD& mpid, const ChainJob& job,
         inj->straggle_delay(fault::TaskKind::kReduce, p, mpid.attempt());
     if (lag.count() > 0) std::this_thread::sleep_for(lag);
   }
-  std::unordered_map<std::string, std::vector<std::string>> groups;
-  for (int safety = 0;; ++safety) {
-    try {
-      std::string key;
-      std::vector<std::string> values;
-      while (mpid.recv_group(key, values)) {
-        auto& list = groups[key];
-        std::move(values.begin(), values.end(), std::back_inserter(list));
-        values.clear();
-      }
-      break;
-    } catch (const fault::TaskCrash&) {
-      if (safety >= kMaxTaskAttempts) throw;
-      mpid.restart_reducer();
-      groups.clear();
-    }
-  }
+  detail::ShuffleGroups groups(job.tuning);
+  groups.collect(mpid);
 
   const ChainStage& stage = job.stages[cur.stage];
   ChainReduceContext ctx(statics, p, global_round);
   // Chains always reduce in sorted key order: the sealed partition must
-  // not depend on hash-table iteration order.
-  std::vector<const std::string*> keys;
-  keys.reserve(groups.size());
-  for (const auto& [k, vs] : groups) keys.push_back(&k);
-  std::sort(keys.begin(), keys.end(),
-            [](const auto* a, const auto* b) { return *a < *b; });
-  for (const auto* k : keys) {
-    stage.reduce(*k, groups.at(*k), ctx);
-  }
+  // not depend on the order keys arrived in.
+  groups.for_each(/*sorted=*/true, [&](std::string_view key,
+                                        std::vector<std::string>& values) {
+    stage.reduce(key, values, ctx);
+  });
   return ctx;
 }
 

@@ -5,8 +5,8 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
+#include "groups.hpp"
 #include "mpid/core/mpid.hpp"
 #include "mpid/fault/fault.hpp"
 #include "mpid/minimpi/world.hpp"
@@ -14,14 +14,7 @@
 
 namespace mpid::mapred {
 
-namespace {
-
-/// Safety cap on task re-executions. Injected crashes self-bound through
-/// FaultPlan::max_injected_attempts; this guards against a plan scripted
-/// to kill every attempt.
-constexpr int kMaxTaskAttempts = 16;
-
-}  // namespace
+using detail::kMaxTaskAttempts;
 
 namespace detail {
 
@@ -323,41 +316,18 @@ JobResult JobRunner::run(const JobDef& job,
           break;
         }
 
-        // Global grouping: MPI-D streams per-mapper segments; fold them
-        // into one value list per key before invoking the user reduce.
-        std::unordered_map<std::string, std::vector<std::string>> groups;
-        for (int safety = 0;; ++safety) {
-          try {
-            std::string key;
-            std::vector<std::string> values;
-            while (mpid.recv_group(key, values)) {
-              auto& list = groups[key];
-              std::move(values.begin(), values.end(),
-                        std::back_inserter(list));
-              values.clear();
-            }
-            break;
-          } catch (const fault::TaskCrash&) {
-            if (safety >= kMaxTaskAttempts) throw;
-            mpid.restart_reducer();
-            groups.clear();
-          }
-        }
+        // Global grouping: fold the per-mapper segments into one value
+        // list per key before invoking the user reduce.
+        detail::ShuffleGroups groups(config);
+        groups.collect(mpid);
         mpid.finalize();
 
         ReduceContext ctx(mpid.reducer_index());
-        if (job.sorted_reduce) {
-          std::vector<const std::string*> keys;
-          keys.reserve(groups.size());
-          for (const auto& [k, vs] : groups) keys.push_back(&k);
-          std::sort(keys.begin(), keys.end(),
-                    [](const auto* a, const auto* b) { return *a < *b; });
-          for (const auto* k : keys) {
-            job.reduce(*k, groups.at(*k), ctx);
-          }
-        } else {
-          for (const auto& [k, vs] : groups) job.reduce(k, vs, ctx);
-        }
+        groups.for_each(job.sorted_reduce,
+                        [&](std::string_view key,
+                            std::vector<std::string>& values) {
+                          job.reduce(key, values, ctx);
+                        });
         runs[static_cast<std::size_t>(ctx.reducer_index())] =
             ctx.take_emitted();
         break;

@@ -168,9 +168,12 @@ class MapOutputBuffer {
     release_budget();
   }
 
-  /// Read-only grouped iteration for the receive side:
-  /// `fn(std::string_view key, const std::vector<std::string>& values)`,
-  /// in insertion or sorted key order. Does not empty the buffer and does
+  /// Grouped iteration for the receive side:
+  /// `fn(std::string_view key, std::vector<std::string>& values)`, in
+  /// insertion or sorted key order, values in append order. The callee
+  /// may mutate `values`: on the flat path it is a scratch copy reused
+  /// across groups, on the legacy path the entry's own list (so a second
+  /// pass there sees the mutation). Does not empty the buffer and does
   /// not touch spill counters.
   template <typename Fn>
   void for_each_group(bool sorted, Fn&& fn) {
@@ -187,17 +190,17 @@ class MapOutputBuffer {
       return;
     }
     if (!sorted) {
-      for (const auto& e : legacy_entries_) fn(e.key, e.values);
+      for (auto& e : legacy_entries_) fn(e.key, e.values);
       return;
     }
-    std::vector<const LegacyEntry*> order;
+    std::vector<LegacyEntry*> order;
     order.reserve(legacy_entries_.size());
-    for (const auto& e : legacy_entries_) order.push_back(&e);
+    for (auto& e : legacy_entries_) order.push_back(&e);
     std::sort(order.begin(), order.end(),
               [](const LegacyEntry* a, const LegacyEntry* b) {
                 return a->key < b->key;
               });
-    for (const auto* e : order) fn(e->key, e->values);
+    for (auto* e : order) fn(e->key, e->values);
   }
 
   /// Discards everything buffered without counting a spill round (task

@@ -6,11 +6,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "mpid/common/hash.hpp"
+#include "mpid/common/prng.hpp"
 #include "mpid/fault/fault.hpp"
 #include "mpid/mapred/chain.hpp"
 
@@ -421,6 +426,234 @@ TEST(JobChain, MapperCrashRetriesResidentRound) {
 
   EXPECT_EQ(baseline.outputs, result.outputs);
   EXPECT_EQ(result.report.totals.task_restarts, 1u);
+}
+
+// --- StaticTables -------------------------------------------------------------
+
+KvVec static_fixture() {
+  return {{"alpha", "1"},  {"beta", "22"},  {"alpha", "333"},
+          {"gamma", "4444"}, {"beta", "55555"}, {"alpha", "6"},
+          {"a-key-longer-than-sso", "v"}};
+}
+
+constexpr int kStaticParts = 3;
+
+/// The key's own partition under the default (hash) partitioner.
+int home(std::string_view key) {
+  return static_cast<int>(common::hash_partition(key, kStaticParts));
+}
+
+TEST(StaticTables, KeysKeepTheirStaticInputValueOrder) {
+  const StaticTables tables(static_fixture(), kStaticParts, {});
+  EXPECT_EQ(tables.partitions(), kStaticParts);
+  const auto* alpha = tables.find(home("alpha"), "alpha");
+  ASSERT_NE(alpha, nullptr);
+  EXPECT_EQ(*alpha, (std::vector<std::string>{"1", "333", "6"}));
+  const auto* beta = tables.find(home("beta"), "beta");
+  ASSERT_NE(beta, nullptr);
+  EXPECT_EQ(*beta, (std::vector<std::string>{"22", "55555"}));
+  const auto* gamma = tables.find(home("gamma"), "gamma");
+  ASSERT_NE(gamma, nullptr);
+  EXPECT_EQ(*gamma, (std::vector<std::string>{"4444"}));
+}
+
+TEST(StaticTables, MissingKeysAndOutOfRangePartitionsAreNull) {
+  const StaticTables tables(static_fixture(), kStaticParts, {});
+  EXPECT_EQ(tables.find(home("delta"), "delta"), nullptr);
+  EXPECT_EQ(tables.find(home("alpha"), ""), nullptr);
+  // A key lives on its own partition only.
+  EXPECT_EQ(tables.find((home("alpha") + 1) % kStaticParts, "alpha"),
+            nullptr);
+  EXPECT_EQ(tables.find(-1, "alpha"), nullptr);
+  EXPECT_EQ(tables.find(kStaticParts, "alpha"), nullptr);
+  EXPECT_EQ(tables.partition_bytes(-1), 0u);
+  EXPECT_EQ(tables.partition_bytes(kStaticParts), 0u);
+
+  const StaticTables empty(KvVec{}, 2, {});
+  EXPECT_EQ(empty.find(0, "alpha"), nullptr);
+  EXPECT_EQ(empty.total_bytes(), 0u);
+  EXPECT_THROW(StaticTables(static_fixture(), 0, {}), std::invalid_argument);
+}
+
+TEST(StaticTables, ByteCountsAreTheRealignedPayload) {
+  // Key + value bytes per partition, as the chain reports them in
+  // static_bytes_pinned.
+  const StaticTables tables(static_fixture(), kStaticParts, {});
+  EXPECT_EQ(tables.total_bytes(), 66u);
+  EXPECT_EQ(tables.partition_bytes(0), 20u);  // alpha x3
+  EXPECT_EQ(tables.partition_bytes(1), 0u);
+  EXPECT_EQ(tables.partition_bytes(2), 46u);  // the other three keys
+
+  // A custom partitioner moves whole keys, never bytes.
+  const StaticTables one_part(
+      static_fixture(), kStaticParts,
+      [](std::string_view, std::uint32_t) -> std::uint32_t { return 1; });
+  EXPECT_EQ(one_part.partition_bytes(1), 66u);
+  EXPECT_EQ(one_part.find(1, "alpha")->size(), 3u);
+}
+
+TEST(StaticTables, LooksUpByStringViewSlices) {
+  // Neither slice is a whole, NUL-terminated string: the lookup hashes
+  // and compares the view itself.
+  const StaticTables tables(static_fixture(), kStaticParts, {});
+  const std::string buffer = "<<a-key-longer-than-sso>>alphabet";
+  const auto whole = std::string_view(buffer);
+  const auto long_key = whole.substr(2, 21);
+  const auto short_key = whole.substr(25, 5);
+  ASSERT_EQ(long_key, "a-key-longer-than-sso");
+  ASSERT_EQ(short_key, "alpha");
+  const auto* long_values = tables.find(home(long_key), long_key);
+  ASSERT_NE(long_values, nullptr);
+  EXPECT_EQ(*long_values, std::vector<std::string>{"v"});
+  const auto* short_values = tables.find(home(short_key), short_key);
+  ASSERT_NE(short_values, nullptr);
+  EXPECT_EQ(short_values->size(), 3u);
+}
+
+// --- Reducer grouping contract ----------------------------------------------
+//
+// Every chain reducer groups its shuffle in the flat combine table (or the
+// legacy node buffer under flat_combine_table=false) and must still hand
+// each key to reduce exactly once, in ascending key order per partition,
+// with exactly the multiset of values sent for it.
+
+using Groups = std::map<std::string, std::vector<std::string>>;
+
+/// "key value" lines over 40 keys with 1..9 values each, in shuffled
+/// order, plus the std::map reference of what each key was sent (values
+/// in line order).
+std::string grouping_text(Groups& reference) {
+  common::Xoshiro256StarStar rng(77);
+  std::vector<std::pair<std::string, std::string>> lines;
+  for (int k = 0; k < 40; ++k) {
+    const std::string key = "g" + std::to_string(k * 7919 % 1000);
+    const auto n = rng.next_in(1, 9);
+    for (std::uint64_t v = 0; v < n; ++v) {
+      lines.emplace_back(key, std::to_string(rng.next_below(1000)));
+    }
+  }
+  for (std::size_t i = lines.size(); i > 1; --i) {
+    std::swap(lines[i - 1], lines[rng.next_below(i)]);
+  }
+  std::string text;
+  for (const auto& [key, value] : lines) {
+    reference[key].push_back(value);
+    text += key + " " + value + "\n";
+  }
+  return text;
+}
+
+/// What the stage reduce saw, by partition, in call order.
+struct GroupLog {
+  std::mutex mu;
+  std::map<int, std::vector<std::pair<std::string, std::vector<std::string>>>>
+      calls;
+};
+
+/// A one-round chain whose reduce logs its group and then mutates the
+/// values vector it was handed — a later group must not see the damage.
+ChainJob logging_job(GroupLog& log, bool flat) {
+  ChainJob job;
+  job.ingest = [](std::string_view line, MapContext& ctx) {
+    const auto sp = line.find(' ');
+    ctx.emit(line.substr(0, sp), line.substr(sp + 1));
+  };
+  ChainStage stage;
+  stage.name = "log";
+  stage.reduce = [&log](std::string_view key, std::vector<std::string>& values,
+                        ChainReduceContext& ctx) {
+    {
+      std::lock_guard lock(log.mu);
+      log.calls[ctx.partition()].emplace_back(std::string(key), values);
+    }
+    ctx.emit(key, std::to_string(values.size()));
+    values.assign(3, "clobbered");
+    values.front().append(64, '!');
+  };
+  job.stages.push_back(std::move(stage));
+  job.tuning.flat_combine_table = flat;
+  job.tuning.spill_threshold_bytes = 256;  // many segments per key
+  return job;
+}
+
+/// Checks the contract: ascending keys per partition, no key on two
+/// partitions or twice, and each key's values equal to the reference
+/// multiset.
+void expect_grouping_contract(const GroupLog& log, const Groups& reference,
+                              const std::string& label) {
+  Groups seen;
+  for (const auto& [partition, calls] : log.calls) {
+    for (std::size_t i = 1; i < calls.size(); ++i) {
+      EXPECT_LT(calls[i - 1].first, calls[i].first)
+          << label << " partition " << partition;
+    }
+    for (const auto& [key, values] : calls) {
+      EXPECT_TRUE(seen.emplace(key, values).second)
+          << label << " key " << key << " reduced twice";
+    }
+  }
+  ASSERT_EQ(seen.size(), reference.size()) << label;
+  for (const auto& [key, values] : reference) {
+    auto got = seen[key];
+    auto want = values;
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want) << label << " key " << key;
+  }
+}
+
+TEST(JobChainGrouping, KeysOnceAscendingWithEveryValueSent) {
+  Groups reference;
+  const auto text = grouping_text(reference);
+  for (const bool flat : {true, false}) {
+    for (const int partitions : {1, 3}) {
+      GroupLog log;
+      const auto result =
+          JobChain(partitions).run_on_text(logging_job(log, flat), text);
+      const std::string label = "flat=" + std::to_string(flat) +
+                                " partitions=" + std::to_string(partitions);
+      expect_grouping_contract(log, reference, label);
+      ASSERT_EQ(result.outputs.size(), reference.size()) << label;
+      for (const auto& [key, count] : result.outputs) {
+        EXPECT_EQ(count, std::to_string(reference.at(key).size())) << label;
+      }
+    }
+  }
+}
+
+TEST(JobChainGrouping, OneMapperDeliversValuesInArrivalOrder) {
+  // A single mapper ships its segments in emit order, so the reducer's
+  // values must be exactly the ingest order — not merely the multiset.
+  Groups reference;
+  const auto text = grouping_text(reference);
+  for (const bool flat : {true, false}) {
+    GroupLog log;
+    JobChain(1).run_on_text(logging_job(log, flat), text);
+    Groups seen;
+    for (const auto& [key, values] : log.calls[0]) seen[key] = values;
+    EXPECT_EQ(seen, reference) << "flat=" << flat;
+  }
+}
+
+TEST(JobChainGrouping, ReducerCrashRepullsEveryValueOnce) {
+  // The injected crash fires while the resilient shuffle collects its
+  // lanes; the restarted reducer re-pulls every lane through the shared
+  // retry loop, and its groups must still hold each value exactly once.
+  Groups reference;
+  const auto text = grouping_text(reference);
+  for (const bool flat : {true, false}) {
+    GroupLog log;
+    fault::FaultPlan plan;
+    plan.seed = 5;
+    plan.scripted_crashes.push_back({fault::TaskKind::kReduce, 1, 0, 3});
+    ChainJob job = logging_job(log, flat);
+    job.tuning.resilient_shuffle = true;
+    job.tuning.fault_injector = std::make_shared<fault::FaultInjector>(plan);
+    const auto result = JobChain(3).run_on_text(job, text);
+    EXPECT_EQ(result.report.totals.task_restarts, 1u) << "flat=" << flat;
+    expect_grouping_contract(log, reference,
+                             "crash flat=" + std::to_string(flat));
+  }
 }
 
 TEST(JobChain, TakeOutputsMovesPairsOut) {

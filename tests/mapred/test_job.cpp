@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "mpid/common/prng.hpp"
+#include "mpid/fault/fault.hpp"
 #include "mpid/mapred/job.hpp"
 
 namespace mpid::mapred {
@@ -195,6 +199,128 @@ TEST(JobRunner, OutputsSortedWhenReduceEmitsValuesDescending) {
       EXPECT_EQ(result.outputs, expected)
           << "sorted_reduce=" << sorted << " streaming=" << streaming;
     }
+  }
+}
+
+// --- Reducer grouping contract ----------------------------------------------
+//
+// JobRunner's hash-grouped reducer (streaming_merge_reduce off) groups its
+// shuffle in the flat combine table, or the legacy node buffer under
+// flat_combine_table=false. Either way each key must reach reduce exactly
+// once, ascending per reducer when sorted_reduce, with exactly the
+// multiset of values its mappers emitted.
+
+using Groups = std::map<std::string, std::vector<std::string>>;
+
+/// 5 mapper splits of "key/value" records over 60 keys, plus the
+/// std::map reference of every value sent per key.
+std::vector<std::vector<std::string>> grouping_splits(Groups& reference) {
+  common::Xoshiro256StarStar rng(91);
+  std::vector<std::vector<std::string>> splits(5);
+  for (int i = 0; i < 900; ++i) {
+    const std::string key = "k" + std::to_string(rng.next_below(60));
+    const std::string value = std::to_string(rng.next_below(100000));
+    reference[key].push_back(value);
+    splits[rng.next_below(splits.size())].push_back(key + "/" + value);
+  }
+  return splits;
+}
+
+/// What reduce saw, by reducer, in call order.
+struct GroupLog {
+  std::mutex mu;
+  std::map<int, std::vector<std::pair<std::string, std::vector<std::string>>>>
+      calls;
+};
+
+JobDef logging_job(GroupLog& log, bool flat, bool sorted) {
+  JobDef job;
+  job.map = [](std::string_view record, MapContext& ctx) {
+    const auto slash = record.find('/');
+    ctx.emit(record.substr(0, slash), record.substr(slash + 1));
+  };
+  job.reduce = [&log](std::string_view key,
+                      std::span<const std::string> values,
+                      ReduceContext& ctx) {
+    std::lock_guard lock(log.mu);
+    log.calls[ctx.reducer_index()].emplace_back(
+        std::string(key), std::vector<std::string>(values.begin(),
+                                                   values.end()));
+    ctx.emit(key, std::to_string(values.size()));
+  };
+  job.sorted_reduce = sorted;
+  job.tuning.flat_combine_table = flat;
+  job.tuning.spill_threshold_bytes = 512;  // many segments per key
+  return job;
+}
+
+JobResult run_splits(const JobDef& job,
+                     const std::vector<std::vector<std::string>>& splits) {
+  std::vector<RecordSource> inputs;
+  for (const auto& split : splits) inputs.push_back(vector_source(split));
+  return JobRunner(static_cast<int>(splits.size()), 3)
+      .run(job, std::move(inputs));
+}
+
+void expect_grouping_contract(const GroupLog& log, const Groups& reference,
+                              bool sorted, const std::string& label) {
+  Groups seen;
+  for (const auto& [reducer, calls] : log.calls) {
+    for (std::size_t i = 1; sorted && i < calls.size(); ++i) {
+      EXPECT_LT(calls[i - 1].first, calls[i].first)
+          << label << " reducer " << reducer;
+    }
+    for (const auto& [key, values] : calls) {
+      EXPECT_TRUE(seen.emplace(key, values).second)
+          << label << " key " << key << " reduced twice";
+    }
+  }
+  ASSERT_EQ(seen.size(), reference.size()) << label;
+  for (const auto& [key, values] : reference) {
+    auto got = seen[key];
+    auto want = values;
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want) << label << " key " << key;
+  }
+}
+
+TEST(JobRunnerGrouping, KeysOnceWithEveryValueSentInEveryMode) {
+  Groups reference;
+  const auto splits = grouping_splits(reference);
+  for (const bool flat : {true, false}) {
+    for (const bool sorted : {true, false}) {
+      GroupLog log;
+      const auto result = run_splits(logging_job(log, flat, sorted), splits);
+      const std::string label = "flat=" + std::to_string(flat) +
+                                " sorted_reduce=" + std::to_string(sorted);
+      expect_grouping_contract(log, reference, sorted, label);
+      ASSERT_EQ(result.outputs.size(), reference.size()) << label;
+      for (const auto& [key, count] : result.outputs) {
+        EXPECT_EQ(count, std::to_string(reference.at(key).size())) << label;
+      }
+    }
+  }
+}
+
+TEST(JobRunnerGrouping, ReducerCrashRepullsEveryValueOnce) {
+  // The injected crash fires while the resilient shuffle collects its
+  // lanes; the restarted reducer re-pulls every lane through the shared
+  // retry loop, and its groups must still hold each value exactly once.
+  Groups reference;
+  const auto splits = grouping_splits(reference);
+  for (const bool flat : {true, false}) {
+    GroupLog log;
+    fault::FaultPlan plan;
+    plan.seed = 6;
+    plan.scripted_crashes.push_back({fault::TaskKind::kReduce, 2, 0, 3});
+    JobDef job = logging_job(log, flat, /*sorted=*/true);
+    job.tuning.resilient_shuffle = true;
+    job.tuning.fault_injector = std::make_shared<fault::FaultInjector>(plan);
+    const auto result = run_splits(job, splits);
+    EXPECT_EQ(result.report.totals.task_restarts, 1u) << "flat=" << flat;
+    expect_grouping_contract(log, reference, /*sorted=*/true,
+                             "crash flat=" + std::to_string(flat));
   }
 }
 
